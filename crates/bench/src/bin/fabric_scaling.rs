@@ -244,7 +244,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         DecoderConfig::default().with_max_iterations(sw_iterations).with_early_stop(false),
         ref_partition,
     );
-    let sw_tier = sw.simd_tier().map_or("fused-scalar", |t| t.name());
+    let sw_tier = sw.simd_tier().map_or("scalar", |t| t.name());
     let ref_sys = Dvbs2System::new(SystemConfig {
         rate: CodeRate::R1_2,
         frame: FrameSize::Normal,
@@ -313,9 +313,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     json.push_str(&format!("  \"violations\": {}\n}}\n", violations.len()));
 
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_fabric.json");
-    println!("\nwrote {}", out_path);
+    let out_path =
+        dvbs2_bench::workspace_artifact("BENCH_fabric.json").expect("locating BENCH_fabric.json");
+    std::fs::write(&out_path, &json).expect("writing BENCH_fabric.json");
+    println!("\nwrote {}", out_path.display());
 
     if violations.is_empty() {
         println!("fabric scaling: PASS ({} rows)", rows.len());

@@ -412,9 +412,10 @@ fn main() {
     ));
     json.push_str("}\n");
 
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_fault.json");
-    println!("wrote {out_path}");
+    let out_path =
+        dvbs2_bench::workspace_artifact("BENCH_fault.json").expect("locating BENCH_fault.json");
+    std::fs::write(&out_path, &json).expect("writing BENCH_fault.json");
+    println!("wrote {}", out_path.display());
 
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());

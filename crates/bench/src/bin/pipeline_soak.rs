@@ -458,9 +458,10 @@ fn main() {
         pressure.stats.ingress_watermark,
     ));
     json.push_str("}\n");
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    std::fs::write(out_path, &json).expect("writing BENCH_pipeline.json");
-    println!("wrote {out_path}");
+    let out_path = dvbs2_bench::workspace_artifact("BENCH_pipeline.json")
+        .expect("locating BENCH_pipeline.json");
+    std::fs::write(&out_path, &json).expect("writing BENCH_pipeline.json");
+    println!("wrote {}", out_path.display());
 
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());

@@ -7,6 +7,8 @@
 use dvbs2::channel::StopRule;
 use dvbs2::prelude::*;
 use dvbs2::{DecoderKind, Dvbs2System, SystemConfig};
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// A measured BER point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,9 +104,47 @@ pub fn sci(x: f64) -> String {
     }
 }
 
+/// The nearest directory at or above `start` whose `Cargo.toml` declares a
+/// `[workspace]` — the same root cargo itself would pick.
+fn workspace_root_from(start: &Path) -> Option<PathBuf> {
+    start.ancestors().find_map(|dir| {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+        manifest.lines().any(|l| l.trim() == "[workspace]").then(|| dir.to_path_buf())
+    })
+}
+
+/// Where a bench binary writes its root-level artifact (`BENCH_*.json`):
+/// the root of the workspace that contains the current directory, found
+/// when the binary runs. A binary built in one checkout and run in another
+/// therefore writes into the tree it runs in, never into the tree it was
+/// compiled from.
+///
+/// # Errors
+///
+/// Fails when the current directory is unreadable or lies outside any
+/// cargo workspace.
+pub fn workspace_artifact(name: &str) -> io::Result<PathBuf> {
+    let cwd = std::env::current_dir()?;
+    let root = workspace_root_from(&cwd).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("{} is not inside a cargo workspace; run from the repository", cwd.display()),
+        )
+    })?;
+    Ok(root.join(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_root_is_found_from_a_member_crate() {
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = workspace_root_from(&crate_dir.join("src")).expect("inside the workspace");
+        assert_eq!(root, crate_dir.parent().unwrap().parent().unwrap());
+        assert!(root.join("crates").join("bench").is_dir());
+    }
 
     #[test]
     fn interpolation_finds_crossing() {

@@ -3,15 +3,15 @@
 //!
 //! Identical schedule to [`crate::ZigzagDecoder`] but with every message a
 //! saturating `bits`-wide integer and the check rule evaluated by
-//! [`QBoxplus`]. The cycle-accurate core in `dvbs2-hardware` must reproduce
-//! this decoder's decisions exactly; the `quantization` bench compares its
-//! BER against the float reference to reproduce the paper's 6-bit ≈ 0.1 dB
-//! claim.
+//! [`QBoxplus`](crate::QBoxplus). The cycle-accurate core in
+//! `dvbs2-hardware` must reproduce this decoder's decisions exactly; the
+//! `quantization` bench compares its BER against the float reference to
+//! reproduce the paper's 6-bit ≈ 0.1 dB claim.
 
 #![allow(clippy::needless_range_loop)] // one index drives several parallel slices
 
 use crate::qsimd::SimdQuant;
-use crate::quant::{QBoxplus, QCheckArithmetic, Quantizer};
+use crate::quant::{QCheckArithmetic, Quantizer};
 use crate::simd::SimdTier;
 use crate::stopping::{hard_decisions_int, hard_decisions_int_into, syndrome_ok};
 use crate::{DecodeResult, Decoder, DecoderConfig};
@@ -26,11 +26,12 @@ use std::sync::Arc;
 ///
 /// With `lanes = 360` and an edge order derived from the core's connectivity
 /// ROM and check-node schedule (`dvbs2_hardware::hw_chain_partition`), the
-/// sequential software decoder becomes **bit-exact** against the hardware
+/// software decoder becomes **bit-exact** against the hardware
 /// `GoldenModel` — decoded words, iteration counts and convergence flags —
 /// because the order-dependent quantized boxplus then sees identical
 /// operands in identical order at every check. With `lanes = 1` and no edge
-/// order it degenerates to the plain sequential zigzag.
+/// order it is the plain sequential zigzag, which every
+/// [`QuantizedZigzagDecoder::new`] decoder runs.
 #[derive(Debug, Clone)]
 pub struct ChainPartition {
     lanes: usize,
@@ -64,120 +65,37 @@ impl ChainPartition {
     }
 }
 
-/// Construction-time fusion of a [`ChainPartition`] into dedicated message
-/// planes: the per-check schedule permutation is baked into the plane
-/// *layout* so the partitioned sweep and both variable-node passes run with
-/// zero extra indirection in their inner loops.
-///
-/// Layout: check `c` (lane `u = c / q_rows`, residue row `r = c % q_rows`)
-/// owns the fixed-stride plane row `r · lanes + u` — the rows are laid out
-/// in **sweep traversal order**, so the residue-major check sweep walks the
-/// planes strictly linearly. Within a row, positions `0..info_d` hold the
-/// check's information inputs already in hardware-schedule order (the
-/// permutation is applied once here, at build time), and the last two
-/// positions are written in place with the left/right parity-chain inputs
-/// each sweep. The variable-node side gathers and scatters through
-/// [`var_slots`](Self::var_slots), the per-variable list of absolute plane
-/// indices, computed once from the same permutation.
-#[derive(Debug, Clone)]
-struct FusedPlan {
-    lanes: usize,
-    q_rows: usize,
-    /// Plane row stride: `info_d + 2` (check 0 uses one slot fewer).
-    stride: usize,
-    /// Uniform per-check information degree.
-    info_d: usize,
-    /// For every information edge, in variable-major order (`v` ascending,
-    /// then that variable's edges in graph order): its absolute index into
-    /// the fused planes.
-    var_slots: Vec<u32>,
-}
-
-impl FusedPlan {
-    /// Bakes `partition`'s edge order (identity if `None`) into the fused
-    /// layout for `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checks do not all have the same information degree —
-    /// the fixed-stride row layout (and the hardware's functional-unit
-    /// array) needs uniform rows. Every DVB-S2 code satisfies this.
-    fn build(graph: &TannerGraph, partition: &ChainPartition) -> FusedPlan {
-        let n_check = graph.check_count();
-        let k = graph.info_len();
-        let lanes = partition.lanes();
-        let q_rows = n_check / lanes;
-        let info_d = graph.check_edges(0).len() - 1;
-        for c in 1..n_check {
-            assert_eq!(
-                graph.check_edges(c).len() - 2,
-                info_d,
-                "check {c}: non-uniform information degree; fused layout needs uniform rows"
-            );
-        }
-        let stride = info_d + 2;
-        let order = partition.edge_order();
-        // Invert the per-check permutation into an edge -> plane-slot map,
-        // then flatten it variable-major for the VN-side passes. Information
-        // edges are the first `info_d` of each check's range (edges are
-        // sorted by variable index and information variables come first).
-        let mut edge_slot = vec![u32::MAX; graph.edge_count()];
-        for c in 0..n_check {
-            let start = graph.check_edges(c).start;
-            let base = ((c % q_rows) * lanes + c / q_rows) * stride;
-            for i in 0..info_d {
-                let e = match order {
-                    Some(ord) => start + ord[c * info_d + i] as usize,
-                    None => start + i,
-                };
-                edge_slot[e] = (base + i) as u32;
-            }
-        }
-        let mut var_slots = Vec::with_capacity(n_check * info_d);
-        for v in 0..k {
-            for &e in graph.var_edges(v) {
-                let slot = edge_slot[e as usize];
-                debug_assert_ne!(slot, u32::MAX, "information edge missing from fused layout");
-                var_slots.push(slot);
-            }
-        }
-        FusedPlan { lanes, q_rows, stride, info_d, var_slots }
-    }
-
-    /// Total fused-plane length.
-    fn plane_len(&self) -> usize {
-        self.lanes * self.q_rows * self.stride
-    }
-}
-
 /// Quantized zigzag-schedule decoder.
 ///
 /// # Chain-boundary semantics vs the hardware `GoldenModel`
 ///
-/// This decoder runs the parity chain as **one** sequential zigzag over all
-/// `N − K` checks: the forward input of check `c` is check `c − 1`'s output
-/// from the *same* iteration, for every `c > 0`, and the backward messages
-/// come from the previous iteration. The hardware golden model
-/// (`dvbs2_hardware::GoldenModel`) instead runs **360 parallel sub-chains**
-/// (one per functional unit), which changes the message freshness at the
-/// `q = (N − K) / 360` sub-chain boundaries in two ways:
+/// Every decoder runs its parity chain as a [`ChainPartition`]: `lanes`
+/// sub-chains swept in lockstep, the way the paper's M = 360 functional
+/// units run the IRA chain. [`new`](Self::new) and
+/// [`with_arithmetic`](Self::with_arithmetic) use **one** sub-chain, which
+/// is the ideal sequential zigzag of the paper's Fig. 2b: the forward input
+/// of check `c` is check `c − 1`'s output from the *same* iteration, for
+/// every `c > 0`, and the backward messages come from the previous
+/// iteration. The hardware golden model (`dvbs2_hardware::GoldenModel`)
+/// instead runs **360 sub-chains**, which changes the message freshness at
+/// the `q = (N − K) / 360` sub-chain boundaries in two ways:
 ///
 /// * the forward message *entering* a sub-chain's first check comes from the
-///   **previous iteration** (this decoder would use the same iteration's
+///   **previous iteration** (one sub-chain would use the same iteration's
 ///   value from the preceding chain segment);
 /// * the backward boundary message is written while processing row `0` but
 ///   read at row `q − 1` of the same sweep, making it **one iteration
-///   fresher** than this decoder's strictly previous-iteration backward
-///   update.
+///   fresher** than the one-lane sweep's strictly previous-iteration
+///   backward update.
 ///
 /// All non-boundary messages — `359/360` of the chain — are computed
-/// identically, so in the default sequential mode the two models agree on
+/// identically, so the one-lane decoder and the golden model agree on
 /// decoded words and differ only in rare per-frame iteration counts near
 /// threshold, and the differential oracle holds that pair to a decoded-word
-/// agreement contract. In **hardware-partitioned mode**
-/// ([`QuantizedZigzagDecoder::with_partition`] with a [`ChainPartition`]
-/// built by `dvbs2_hardware::hw_chain_partition`) this decoder reproduces
-/// the hardware boundary semantics *and* the schedule's per-check input
+/// agreement contract. With a 360-lane partition built by
+/// `dvbs2_hardware::hw_chain_partition`
+/// ([`with_partition`](Self::with_partition)), this decoder reproduces the
+/// hardware boundary semantics *and* the schedule's per-check input
 /// ordering, and the oracle tightens the contract to full bit-exactness
 /// against `GoldenModel` (the cycle-accurate `HardwareDecoder` is always
 /// held bit-exact to `GoldenModel`). See `DESIGN.md` ("Chain-boundary
@@ -188,13 +106,9 @@ pub struct QuantizedZigzagDecoder {
     arithmetic: QCheckArithmetic,
     max_iterations: usize,
     early_stop: bool,
-    /// Hardware-partitioned check sweep (`None` = plain sequential zigzag).
-    partition: Option<ChainPartition>,
-    /// Permutation-baked plane layout for the partitioned sweep (`None` =
-    /// sequential mode, or the reference LUT-indirection sweep from
-    /// [`QuantizedZigzagDecoder::with_partition_indirect`]).
-    fused: Option<FusedPlan>,
-    /// Sub-chain-major SIMD lane plan (`None` = scalar paths only; built by
+    /// The sub-chains of the check sweep (one lane = sequential zigzag).
+    partition: ChainPartition,
+    /// Sub-chain-major SIMD lane plan (`None` = scalar sweep only; built by
     /// [`QuantizedZigzagDecoder::with_partition`] when the partition and
     /// arithmetic are lane-expressible).
     simd: Option<Box<SimdQuant>>,
@@ -202,11 +116,10 @@ pub struct QuantizedZigzagDecoder {
     c2v: Vec<i32>,
     backward: Vec<i32>,
     forward: Vec<i32>,
-    /// Per-lane forward registers of the partitioned sweep.
+    /// Per-lane forward registers of the check sweep.
     fwd_regs: Vec<i32>,
-    /// Chain-boundary forward values from the previous iteration
-    /// (partitioned mode's analogue of the functional units' boundary
-    /// state).
+    /// Chain-boundary forward values from the previous iteration (the
+    /// analogue of the functional units' boundary state).
     boundary: Vec<i32>,
     totals: Vec<i32>,
     scratch_in: Vec<i32>,
@@ -231,7 +144,8 @@ impl QuantizedZigzagDecoder {
 
     /// Creates a decoder with an explicit check-node arithmetic — the
     /// LUT-free [`QCheckArithmetic::min_sum_shift`] trades ~0.1–0.2 dB for
-    /// a smaller functional unit.
+    /// a smaller functional unit. The parity chain is one sub-chain (the
+    /// sequential zigzag).
     ///
     /// # Panics
     ///
@@ -241,59 +155,29 @@ impl QuantizedZigzagDecoder {
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
     ) -> Self {
-        let n_check = graph.check_count();
-        assert!(
-            graph.info_len() < graph.var_count() && graph.var_count() - graph.info_len() == n_check,
-            "quantized zigzag decoder needs an IRA graph from TannerGraph::for_code"
-        );
-        let edges = graph.edge_count();
-        let max_degree = (0..n_check).map(|c| graph.check_degree(c)).max().unwrap_or(0);
-        QuantizedZigzagDecoder {
-            arithmetic,
-            max_iterations: config.max_iterations,
-            early_stop: config.early_stop,
-            partition: None,
-            fused: None,
-            simd: None,
-            v2c: vec![0; edges],
-            c2v: vec![0; edges],
-            backward: vec![0; n_check],
-            forward: vec![0; n_check],
-            fwd_regs: Vec::new(),
-            boundary: Vec::new(),
-            totals: vec![0; graph.var_count()],
-            scratch_in: vec![0; max_degree],
-            scratch_out: vec![0; max_degree],
-            decisions: BitVec::zeros(graph.var_count()),
-            qchannel: Vec::new(),
-            graph,
-        }
+        Self::with_partition_scalar(graph, arithmetic, config, ChainPartition::new(1, None))
     }
 
-    /// Creates a decoder that runs the check sweep in **hardware-partitioned
-    /// mode**: `partition.lanes()` parallel sub-chains with the functional
-    /// units' boundary freshness semantics, optionally replaying the
-    /// hardware's per-check boxplus input ordering. With the LUT arithmetic
-    /// and a partition from `dvbs2_hardware::hw_chain_partition`, decode
-    /// results are bit-exact against the hardware `GoldenModel`.
+    /// Creates a decoder that runs the check sweep over `partition`:
+    /// `partition.lanes()` parallel sub-chains with the functional units'
+    /// boundary freshness semantics, optionally replaying the hardware's
+    /// per-check boxplus input ordering. With the LUT arithmetic and a
+    /// partition from `dvbs2_hardware::hw_chain_partition`, decode results
+    /// are bit-exact against the hardware `GoldenModel`.
     ///
-    /// This is the hot path: the sub-chains are mapped onto SIMD lanes
-    /// (sub-chain-major SoA `i16` planes, the software image of the paper's
-    /// M = 360 functional-unit array) with scalar/AVX2/AVX-512 clones
-    /// dispatched per `config.simd` / `DVBS2_SIMD` — see
-    /// [`simd_tier`](Self::simd_tier). Combinations the lanes cannot
-    /// express exactly fall back to the scalar fused sweep of
-    /// [`with_partition_fused`](Self::with_partition_fused); both are
-    /// bit-identical to the reference LUT-indirection sweep of
-    /// [`with_partition_indirect`](Self::with_partition_indirect).
+    /// The sub-chains are mapped onto SIMD lanes (sub-chain-major SoA `i16`
+    /// planes, the software image of the paper's M = 360 functional-unit
+    /// array) with scalar/AVX2/AVX-512 clones dispatched per `config.simd` /
+    /// `DVBS2_SIMD` — see [`simd_tier`](Self::simd_tier). A single
+    /// sub-chain has nothing to run in lockstep, and some quantizers cannot
+    /// be expressed exactly in the lanes; those decoders run the scalar
+    /// sweep of [`with_partition_scalar`](Self::with_partition_scalar),
+    /// which the lanes are bit-identical to.
     ///
     /// # Panics
     ///
-    /// Panics if the graph is not an IRA graph, if `n_check` is not
-    /// divisible by `partition.lanes()`, if the partition's edge order is
-    /// not a per-check permutation of the graph's information edges, if
-    /// the checks do not all have the same information degree, or if
-    /// `config.simd` forces a tier this CPU does not support.
+    /// Same as [`with_partition_scalar`](Self::with_partition_scalar), and
+    /// if `config.simd` forces a tier this CPU does not support.
     pub fn with_partition(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
@@ -301,63 +185,36 @@ impl QuantizedZigzagDecoder {
         partition: ChainPartition,
     ) -> Self {
         let tier = SimdTier::resolve(config.simd);
-        let mut dec = Self::with_partition_fused(graph, arithmetic, config, partition);
-        dec.simd = SimdQuant::try_build(
-            &dec.graph,
-            dec.partition.as_ref().unwrap(),
-            &dec.arithmetic,
-            tier,
-        )
-        .map(Box::new);
+        let mut dec = Self::with_partition_scalar(graph, arithmetic, config, partition);
+        dec.simd =
+            SimdQuant::try_build(&dec.graph, &dec.partition, &dec.arithmetic, tier).map(Box::new);
         dec
     }
 
-    /// [`with_partition`](Self::with_partition) pinned to the **scalar
-    /// fused** sweep — no SIMD lane plan is built, every decode runs the
-    /// permutation-baked `FusedPlan` path. This is the differential
-    /// reference the lane kernels are held bit-exact against, and the
-    /// benchmark baseline `speedup_quantized_simd_vs_fused` is measured
-    /// from.
+    /// [`with_partition`](Self::with_partition) pinned to the scalar sweep:
+    /// no SIMD lane plan is built (`config.simd` is ignored), and the check
+    /// sweep gathers and scatters every message through the partition's
+    /// edge order. This is the reference the lane kernels are held
+    /// bit-exact against, and the benchmark baseline
+    /// `speedup_quantized_simd_vs_scalar` is measured from.
     ///
     /// # Panics
     ///
-    /// Same as [`with_partition`](Self::with_partition), minus the SIMD
-    /// tier resolution (`config.simd` is ignored).
-    pub fn with_partition_fused(
+    /// Panics if the graph is not an IRA graph, if `n_check` is not
+    /// divisible by `partition.lanes()`, or if the partition's edge order
+    /// does not cover every check's information edges with a per-check
+    /// permutation of a uniform information degree.
+    pub fn with_partition_scalar(
         graph: Arc<TannerGraph>,
         arithmetic: QCheckArithmetic,
         config: DecoderConfig,
         partition: ChainPartition,
     ) -> Self {
-        let mut dec = Self::with_partition_indirect(graph, arithmetic, config, partition);
-        let plan = FusedPlan::build(&dec.graph, dec.partition.as_ref().unwrap());
-        // The fused planes replace the edge-indexed ones (they are a
-        // superset: every information edge gets a slot, plus two in-row
-        // parity positions per check).
-        dec.v2c = vec![0; plan.plane_len()];
-        dec.c2v = vec![0; plan.plane_len()];
-        dec.fused = Some(plan);
-        dec
-    }
-
-    /// [`with_partition`](Self::with_partition) without construction-time
-    /// fusion: the check sweep gathers and scatters through the per-check
-    /// edge-order LUT on every message. Decode results are bit-identical to
-    /// the fused mode; this reference path is kept for differential tests
-    /// and as the benchmark baseline the fused layout is measured against.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`with_partition`](Self::with_partition), minus the uniform
-    /// information-degree requirement.
-    pub fn with_partition_indirect(
-        graph: Arc<TannerGraph>,
-        arithmetic: QCheckArithmetic,
-        config: DecoderConfig,
-        partition: ChainPartition,
-    ) -> Self {
-        let mut dec = Self::with_arithmetic(graph, arithmetic, config);
-        let n_check = dec.graph.check_count();
+        let n_check = graph.check_count();
+        assert!(
+            graph.info_len() < graph.var_count() && graph.var_count() - graph.info_len() == n_check,
+            "quantized zigzag decoder needs an IRA graph from TannerGraph::for_code"
+        );
         let lanes = partition.lanes();
         assert!(
             n_check.is_multiple_of(lanes),
@@ -367,7 +224,7 @@ impl QuantizedZigzagDecoder {
             // Every check contributes exactly `check_degree - 2` information
             // edges in an IRA graph (check 0 has one fewer *parity* edge,
             // not fewer information edges).
-            let info_d = dec.graph.check_edges(0).len() - 1;
+            let info_d = graph.check_edges(0).len() - 1;
             assert_eq!(
                 order.len(),
                 n_check * info_d,
@@ -375,7 +232,7 @@ impl QuantizedZigzagDecoder {
             );
             let mut seen = vec![false; info_d];
             for c in 0..n_check {
-                let d = dec.graph.check_edges(c).len() - if c == 0 { 1 } else { 2 };
+                let d = graph.check_edges(c).len() - if c == 0 { 1 } else { 2 };
                 assert_eq!(d, info_d, "check {c}: non-uniform information degree");
                 seen.fill(false);
                 for &pos in &order[c * info_d..(c + 1) * info_d] {
@@ -388,22 +245,38 @@ impl QuantizedZigzagDecoder {
                 }
             }
         }
-        dec.fwd_regs = vec![0; lanes];
-        dec.boundary = vec![0; lanes];
-        dec.partition = Some(partition);
-        dec
+        let edges = graph.edge_count();
+        let max_degree = (0..n_check).map(|c| graph.check_degree(c)).max().unwrap_or(0);
+        QuantizedZigzagDecoder {
+            arithmetic,
+            max_iterations: config.max_iterations,
+            early_stop: config.early_stop,
+            partition,
+            simd: None,
+            v2c: vec![0; edges],
+            c2v: vec![0; edges],
+            backward: vec![0; n_check],
+            forward: vec![0; n_check],
+            fwd_regs: vec![0; lanes],
+            boundary: vec![0; lanes],
+            totals: vec![0; graph.var_count()],
+            scratch_in: vec![0; max_degree],
+            scratch_out: vec![0; max_degree],
+            decisions: BitVec::zeros(graph.var_count()),
+            qchannel: Vec::new(),
+            graph,
+        }
     }
 
-    /// The hardware partition in use, if the decoder runs in partitioned
-    /// mode.
-    pub fn partition(&self) -> Option<&ChainPartition> {
-        self.partition.as_ref()
+    /// The sub-chain partition of the check sweep.
+    pub fn partition(&self) -> &ChainPartition {
+        &self.partition
     }
 
     /// The SIMD dispatch tier the lane-parallel check sweep runs, or
-    /// `None` when decodes take a scalar path (sequential mode,
-    /// LUT-indirection mode, [`with_partition_fused`](Self::with_partition_fused),
-    /// or a partition/arithmetic the lanes cannot express exactly).
+    /// `None` when decodes take the scalar sweep (a single sub-chain,
+    /// [`with_partition_scalar`](Self::with_partition_scalar), or a
+    /// partition/arithmetic the lanes cannot express exactly).
     pub fn simd_tier(&self) -> Option<SimdTier> {
         self.simd.as_ref().map(|s| s.tier())
     }
@@ -436,20 +309,16 @@ impl QuantizedZigzagDecoder {
         if self.simd.is_some() && self.decode_simd_into(channel, out, None) {
             return;
         }
-        if self.fused.is_some() {
-            self.decode_fused_into(channel, out, None);
-        } else {
-            self.decode_unfused_into(channel, out, None);
-        }
+        self.decode_scalar_into(channel, out, None);
     }
 
     /// [`decode_quantized`](Self::decode_quantized) that additionally pushes
     /// one FNV-1a digest of the message state (information-edge c2v messages
     /// in hardware input order, then the forward and backward chain
     /// messages) per completed check sweep. The digest is computed over
-    /// canonical (layout-independent) message order, so fused and
-    /// LUT-indirection decoders over the same partition produce identical
-    /// digest sequences — the per-iteration half of the fused-vs-indirect
+    /// canonical (layout-independent) message order, so the SIMD lanes and
+    /// the scalar sweep over the same partition produce identical digest
+    /// sequences — the per-iteration half of the lanes-vs-scalar
     /// equivalence property.
     ///
     /// # Panics
@@ -466,17 +335,13 @@ impl QuantizedZigzagDecoder {
             return out;
         }
         digests.clear();
-        if self.fused.is_some() {
-            self.decode_fused_into(channel, &mut out, Some(digests));
-        } else {
-            self.decode_unfused_into(channel, &mut out, Some(digests));
-        }
+        self.decode_scalar_into(channel, &mut out, Some(digests));
         out
     }
 
     /// SIMD lane decode. Returns `false` (state untouched) when the
     /// channel is not expressible in the i16 lane domain; the caller then
-    /// runs the scalar fused path.
+    /// runs the scalar sweep.
     fn decode_simd_into(
         &mut self,
         channel: &[i32],
@@ -502,8 +367,9 @@ impl QuantizedZigzagDecoder {
         ok
     }
 
-    /// Sequential or LUT-indirection-partitioned decode (no fused plan).
-    fn decode_unfused_into(
+    /// Scalar decode: the check sweep gathers and scatters every message
+    /// through the partition's edge order.
+    fn decode_scalar_into(
         &mut self,
         channel: &[i32],
         out: &mut DecodeResult,
@@ -518,7 +384,6 @@ impl QuantizedZigzagDecoder {
         self.c2v.fill(0);
         self.backward.fill(0);
         self.boundary.fill(0);
-        let partition = self.partition.clone();
         let mut iterations = 0;
         let mut converged = false;
 
@@ -535,12 +400,9 @@ impl QuantizedZigzagDecoder {
                 }
             }
 
-            match &partition {
-                None => self.sequential_check_sweep(&graph, channel, q, k, n_check),
-                Some(p) => self.partitioned_check_sweep(&graph, channel, q, k, n_check, p),
-            }
+            self.check_sweep(&graph, channel, q, k, n_check);
             if let Some(digests) = trace.as_deref_mut() {
-                digests.push(self.unfused_digest(&graph));
+                digests.push(self.digest(&graph));
             }
 
             for v in 0..k {
@@ -571,51 +433,7 @@ impl QuantizedZigzagDecoder {
         out.converged = converged;
     }
 
-    /// Sequential check sweep with immediate forward update: the ideal
-    /// zigzag of the paper's Fig. 2b — one chain over all `N − K` checks.
-    fn sequential_check_sweep(
-        &mut self,
-        graph: &TannerGraph,
-        channel: &[i32],
-        q: Quantizer,
-        k: usize,
-        n_check: usize,
-    ) {
-        let mut fwd_prev = 0i32;
-        for c in 0..n_check {
-            let range = graph.check_edges(c);
-            let info_d = range.len() - if c == 0 { 1 } else { 2 };
-            let start = range.start;
-            for i in 0..info_d {
-                self.scratch_in[i] = self.v2c[start + i];
-            }
-            let mut d = info_d;
-            let left_pos = if c > 0 {
-                self.scratch_in[d] = q.sat_add(channel[k + c - 1], fwd_prev);
-                d += 1;
-                Some(d - 1)
-            } else {
-                None
-            };
-            self.scratch_in[d] =
-                q.sat_add(channel[k + c], if c + 1 < n_check { self.backward[c] } else { 0 });
-            let right_pos = d;
-            d += 1;
-
-            self.arithmetic.extrinsic(&self.scratch_in[..d], &mut self.scratch_out[..d]);
-
-            for i in 0..info_d {
-                self.c2v[start + i] = self.scratch_out[i];
-            }
-            if let Some(p) = left_pos {
-                self.backward[c - 1] = self.scratch_out[p];
-            }
-            fwd_prev = self.scratch_out[right_pos];
-            self.forward[c] = fwd_prev;
-        }
-    }
-
-    /// Hardware-partitioned check sweep: `lanes` parallel sub-chains of
+    /// Check sweep: `lanes` parallel sub-chains of
     /// `q_rows = n_check / lanes` checks each, swept in ascending residue
     /// order exactly like the functional-unit array — lane `u` owns checks
     /// `u·q_rows..(u+1)·q_rows`, its forward register is seeded from the
@@ -623,19 +441,21 @@ impl QuantizedZigzagDecoder {
     /// consumed at row `q_rows − 1` of the *same* sweep. With an edge order,
     /// each check's boxplus inputs are gathered in the hardware schedule's
     /// order instead of the graph's, which is what makes the order-dependent
-    /// quantized arithmetic bit-exact against the golden model.
-    fn partitioned_check_sweep(
+    /// quantized arithmetic bit-exact against the golden model. With one
+    /// lane and no edge order this is the ideal sequential zigzag of the
+    /// paper's Fig. 2b: `boundary[0]` is pinned to 0, so the forward
+    /// register threads through the whole chain.
+    fn check_sweep(
         &mut self,
         graph: &TannerGraph,
         channel: &[i32],
         q: Quantizer,
         k: usize,
         n_check: usize,
-        partition: &ChainPartition,
     ) {
-        let lanes = partition.lanes();
+        let lanes = self.partition.lanes();
         let q_rows = n_check / lanes;
-        let order = partition.edge_order();
+        let order = self.partition.edge_order();
         // begin_check_phase: seed every lane's forward register from the
         // previous iteration's boundary state.
         self.fwd_regs.copy_from_slice(&self.boundary);
@@ -689,8 +509,9 @@ impl QuantizedZigzagDecoder {
                 if let Some(p) = left_pos {
                     self.backward[c - 1] = self.scratch_out[p];
                 }
-                self.fwd_regs[u] = self.scratch_out[right_pos];
-                self.forward[c] = self.fwd_regs[u];
+                let fwd = self.scratch_out[right_pos];
+                self.fwd_regs[u] = fwd;
+                self.forward[c] = fwd;
             }
         }
         // end_check_phase: store the boundary forwards for the next
@@ -701,200 +522,11 @@ impl QuantizedZigzagDecoder {
         self.boundary[0] = 0;
     }
 
-    /// Fused-plane partitioned decode: the hot path.
-    ///
-    /// Equivalent to [`decode_unfused_into`](Self::decode_unfused_into)
-    /// with a partition — bit-identical `DecodeResult`s — but restructured
-    /// around the permutation-baked [`FusedPlan`] layout:
-    ///
-    /// * the check sweep walks the planes strictly linearly (rows are in
-    ///   traversal order) and runs the boxplus kernel in place on each row —
-    ///   no order LUT, no scratch copies;
-    /// * the totals gather of iteration `t` and the variable-node pass of
-    ///   iteration `t + 1` read the same messages, so they are fused into a
-    ///   single pass at the top of the loop (integer addition is
-    ///   order-independent, so every value is identical to the two-pass
-    ///   formulation; parity totals are only materialized when the
-    ///   early-stop test or the final decision needs them).
-    fn decode_fused_into(
-        &mut self,
-        channel: &[i32],
-        out: &mut DecodeResult,
-        mut trace: Option<&mut Vec<u64>>,
-    ) {
-        let graph = Arc::clone(&self.graph);
-        assert_eq!(channel.len(), graph.var_count(), "LLR length mismatch");
-        let plan = self.fused.take().expect("fused plan present");
-        let k = graph.info_len();
-        let n_check = graph.check_count();
-        let q = *self.arithmetic.quantizer();
-        let (lanes, q_rows, stride, info_d) = (plan.lanes, plan.q_rows, plan.stride, plan.info_d);
-
-        self.c2v.fill(0);
-        self.backward.fill(0);
-        self.boundary.fill(0);
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.max_iterations {
-            // Fused totals + variable-node pass: one walk over `var_slots`
-            // computes iteration `it - 1`'s totals and iteration `it`'s
-            // saturated v2c messages (Eq. 4). On entry (`it == 0`) the c2v
-            // plane is all zero, so this degenerates to `totals = channel`.
-            let mut pos = 0usize;
-            for v in 0..k {
-                let n_e = graph.var_edges(v).len();
-                let slots = &plan.var_slots[pos..pos + n_e];
-                let mut sum = 0i32;
-                for &s in slots {
-                    sum += self.c2v[s as usize];
-                }
-                let total = channel[v] + sum;
-                self.totals[v] = total;
-                for &s in slots {
-                    let s = s as usize;
-                    self.v2c[s] = q.saturate(total - self.c2v[s]);
-                }
-                pos += n_e;
-            }
-            if self.early_stop && it > 0 {
-                for j in 0..n_check {
-                    self.totals[k + j] = channel[k + j]
-                        + self.forward[j]
-                        + if j + 1 < n_check { self.backward[j] } else { 0 };
-                }
-                hard_decisions_int_into(&self.totals, &mut self.decisions);
-                if syndrome_ok(&graph, &self.decisions) {
-                    converged = true;
-                    break;
-                }
-            }
-            iterations += 1;
-
-            // Check sweep: residue-major over the traversal-ordered rows,
-            // so the plane walk is strictly linear. Lane `u` owns checks
-            // `u*q_rows..(u+1)*q_rows`; its forward register is seeded from
-            // the previous iteration's boundary state, and row-0 backward
-            // writes are consumed at row `q_rows - 1` of the same sweep.
-            //
-            // All `lanes` checks of one residue row are mutually
-            // independent (forward registers are lane-local; every
-            // `backward` value read at row `r` was written at a different
-            // residue row), so the sweep runs them in blocks of
-            // [`FUSED_ROW_BLOCK`] adjacent rows: block-phased
-            // reads-then-writes preserve the sequential sweep's
-            // read-before-write order exactly, and the interleaved LUT
-            // kernel below turns one serial boxplus chain per check into
-            // `blk` chains advancing in lockstep — the chain's lookup
-            // latency is the sweep's bottleneck, not arithmetic throughput.
-            self.fwd_regs.copy_from_slice(&self.boundary);
-            for r in 0..q_rows {
-                let mut u0 = 0usize;
-                while u0 < lanes {
-                    let blk = FUSED_ROW_BLOCK.min(lanes - u0);
-                    let base = (r * lanes + u0) * stride;
-                    // Left/right parity-chain inputs, written in place
-                    // after the pre-permuted information inputs.
-                    for x in 0..blk {
-                        let u = u0 + x;
-                        let c = u * q_rows + r;
-                        let row = base + x * stride;
-                        if c > 0 {
-                            self.v2c[row + info_d] =
-                                q.sat_add(channel[k + c - 1], self.fwd_regs[u]);
-                            self.v2c[row + info_d + 1] = q.sat_add(
-                                channel[k + c],
-                                if c + 1 < n_check { self.backward[c] } else { 0 },
-                            );
-                        } else {
-                            self.v2c[row + info_d] = q.sat_add(channel[k], self.backward[0]);
-                        }
-                    }
-                    // Check 0's short row (no left parity input) keeps the
-                    // scalar path; every other LUT block runs interleaved.
-                    let interleaved = match &self.arithmetic {
-                        QCheckArithmetic::Lut(bp) if !(r == 0 && u0 == 0) => {
-                            lut_extrinsic_rows(
-                                bp,
-                                &self.v2c,
-                                &mut self.c2v,
-                                base,
-                                stride,
-                                info_d + 2,
-                                blk,
-                            );
-                            true
-                        }
-                        _ => false,
-                    };
-                    if !interleaved {
-                        for x in 0..blk {
-                            let c = (u0 + x) * q_rows + r;
-                            let row = base + x * stride;
-                            let d = if c > 0 { info_d + 2 } else { info_d + 1 };
-                            self.arithmetic
-                                .extrinsic(&self.v2c[row..row + d], &mut self.c2v[row..row + d]);
-                        }
-                    }
-                    for x in 0..blk {
-                        let u = u0 + x;
-                        let c = u * q_rows + r;
-                        let row = base + x * stride;
-                        if c > 0 {
-                            self.backward[c - 1] = self.c2v[row + info_d];
-                            self.fwd_regs[u] = self.c2v[row + info_d + 1];
-                        } else {
-                            self.fwd_regs[u] = self.c2v[row + info_d];
-                        }
-                        self.forward[c] = self.fwd_regs[u];
-                    }
-                    u0 += blk;
-                }
-            }
-            for u in (1..lanes).rev() {
-                self.boundary[u] = self.fwd_regs[u - 1];
-            }
-            self.boundary[0] = 0;
-            if let Some(digests) = trace.as_deref_mut() {
-                digests.push(fused_digest(&plan, &self.c2v, &self.forward, &self.backward));
-            }
-        }
-
-        if !converged {
-            // The loop ended right after a sweep: fold it into the totals.
-            let mut pos = 0usize;
-            for v in 0..k {
-                let n_e = graph.var_edges(v).len();
-                let mut sum = 0i32;
-                for &s in &plan.var_slots[pos..pos + n_e] {
-                    sum += self.c2v[s as usize];
-                }
-                self.totals[v] = channel[v] + sum;
-                pos += n_e;
-            }
-            for j in 0..n_check {
-                self.totals[k + j] = channel[k + j]
-                    + self.forward[j]
-                    + if j + 1 < n_check { self.backward[j] } else { 0 };
-            }
-        }
-        if out.bits.len() != self.totals.len() {
-            out.bits = BitVec::zeros(self.totals.len());
-        }
-        hard_decisions_int_into(&self.totals, &mut out.bits);
-        if !converged {
-            converged = syndrome_ok(&graph, &out.bits);
-        }
-        out.iterations = iterations;
-        out.converged = converged;
-        self.fused = Some(plan);
-    }
-
-    /// Canonical message digest for the sequential / LUT-indirection paths:
-    /// same stream as [`fused_digest`] (information c2v in hardware input
-    /// order per check, then forward, then backward).
-    fn unfused_digest(&self, graph: &TannerGraph) -> u64 {
-        let order = self.partition.as_ref().and_then(|p| p.edge_order());
+    /// Canonical message digest of the scalar sweep's state: per check (in
+    /// check order) the information c2v messages in hardware input order,
+    /// then the forward, then the backward chain messages.
+    fn digest(&self, graph: &TannerGraph) -> u64 {
+        let order = self.partition.edge_order();
         let mut h = Fnv::new();
         for c in 0..graph.check_count() {
             let range = graph.check_edges(c);
@@ -937,81 +569,6 @@ impl QuantizedZigzagDecoder {
     pub fn last_decisions(&self) -> BitVec {
         hard_decisions_int(&self.totals)
     }
-}
-
-/// Rows per interleaved block of the fused check sweep: enough independent
-/// boxplus chains to cover the LUT combine's load-to-use latency, few
-/// enough that the block's prefix state and plane rows stay register- and
-/// L1-resident.
-const FUSED_ROW_BLOCK: usize = 8;
-
-/// [`QBoxplus::extrinsic`] over `rows <= FUSED_ROW_BLOCK` consecutive
-/// fused-plane rows of uniform degree `d`, advancing every row's
-/// prefix/suffix recurrence in lockstep. Per row the operation sequence is
-/// exactly the scalar kernel's (same combines, same order, suffix stored in
-/// the out plane), so the outputs are bit-identical — only the *scheduling*
-/// across independent rows changes.
-#[inline]
-fn lut_extrinsic_rows(
-    bp: &QBoxplus,
-    v2c: &[i32],
-    c2v: &mut [i32],
-    base: usize,
-    stride: usize,
-    d: usize,
-    rows: usize,
-) {
-    debug_assert!((1..=FUSED_ROW_BLOCK).contains(&rows) && d >= 3);
-    // Suffix sweep into the out plane (a row's position-0 suffix is never
-    // read, so it is never computed).
-    for x in 0..rows {
-        let rb = base + x * stride;
-        c2v[rb + d - 1] = v2c[rb + d - 1];
-    }
-    for i in (1..d - 1).rev() {
-        for x in 0..rows {
-            let rb = base + x * stride;
-            c2v[rb + i] = bp.combine(v2c[rb + i], c2v[rb + i + 1]);
-        }
-    }
-    let mut prefix = [0i32; FUSED_ROW_BLOCK];
-    for x in 0..rows {
-        let rb = base + x * stride;
-        prefix[x] = v2c[rb];
-        c2v[rb] = c2v[rb + 1];
-    }
-    for i in 1..d - 1 {
-        for x in 0..rows {
-            let rb = base + x * stride;
-            let out = bp.combine(prefix[x], c2v[rb + i + 1]);
-            prefix[x] = bp.combine(prefix[x], v2c[rb + i]);
-            c2v[rb + i] = out;
-        }
-    }
-    for x in 0..rows {
-        c2v[base + x * stride + d - 1] = prefix[x];
-    }
-}
-
-/// Canonical message digest of a fused-plane decode state: per check (in
-/// check order), the information c2v messages in hardware input order, then
-/// the forward and backward chain messages. Layout-independent — matches
-/// [`QuantizedZigzagDecoder::unfused_digest`] value-for-value.
-fn fused_digest(plan: &FusedPlan, c2v: &[i32], forward: &[i32], backward: &[i32]) -> u64 {
-    let mut h = Fnv::new();
-    for c in 0..plan.lanes * plan.q_rows {
-        let row = ((c % plan.q_rows) * plan.lanes + c / plan.q_rows) * plan.stride;
-        for &x in &c2v[row..row + plan.info_d] {
-            h.write_i32(x);
-        }
-    }
-    for &x in forward {
-        h.write_i32(x);
-    }
-    for &x in backward {
-        h.write_i32(x);
-    }
-    h.finish()
 }
 
 /// Minimal FNV-1a 64-bit hasher for the per-iteration message digests
@@ -1153,9 +710,9 @@ mod tests {
 
     #[test]
     fn single_lane_partition_matches_sequential() {
-        // One sub-chain with no reordering degenerates to the plain
-        // sequential zigzag: boundary[0] is pinned to 0, so the forward
-        // register threads through the whole chain exactly like fwd_prev.
+        // `new` runs the one-lane partition; an explicit one-lane
+        // `with_partition` has nothing to run in lockstep, so it stays on
+        // the same scalar sweep and decodes identically.
         let (code, graph) = small_code();
         let graph = Arc::new(graph);
         let q = Quantizer::paper_6bit();
@@ -1166,6 +723,8 @@ mod tests {
             DecoderConfig::default(),
             ChainPartition::new(1, None),
         );
+        assert_eq!(part.simd_tier(), None, "one sub-chain builds no lane plan");
+        assert_eq!(seq.partition().lanes(), 1);
         for seed in 0..3u64 {
             let (_, llrs) = noisy_llrs(&code, 2.4, 4000 + seed);
             let a = seq.decode(&llrs);
@@ -1192,43 +751,6 @@ mod tests {
         let out = dec.decode(&llrs);
         assert!(out.converged);
         assert_eq!(out.bits, cw);
-    }
-
-    #[test]
-    fn fused_partition_matches_indirect_partition() {
-        // The construction-time fused layout must reproduce the reference
-        // LUT-indirection sweep exactly: full DecodeResult plus the
-        // per-iteration message digests, under a non-trivial edge order.
-        let (code, graph) = small_code();
-        let graph = Arc::new(graph);
-        let q = Quantizer::paper_6bit();
-        let n_check = graph.check_count();
-        let info_d = graph.check_edges(0).len() - 1;
-        // Reversing each check's inputs exercises the order-dependence of
-        // the quantized boxplus without needing the hardware schedule.
-        let order: Vec<u32> = (0..n_check).flat_map(|_| (0..info_d as u32).rev()).collect();
-        let mut fused = QuantizedZigzagDecoder::with_partition(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(q),
-            DecoderConfig::default(),
-            ChainPartition::new(360, Some(order.clone())),
-        );
-        let mut indirect = QuantizedZigzagDecoder::with_partition_indirect(
-            Arc::clone(&graph),
-            QCheckArithmetic::lut(q),
-            DecoderConfig::default(),
-            ChainPartition::new(360, Some(order)),
-        );
-        let (mut da, mut db) = (Vec::new(), Vec::new());
-        for seed in 0..3u64 {
-            let (_, llrs) = noisy_llrs(&code, 2.4, 5000 + seed);
-            let channel = fused.quantize_channel(&llrs);
-            let a = fused.decode_quantized_traced(&channel, &mut da);
-            let b = indirect.decode_quantized_traced(&channel, &mut db);
-            assert_eq!(a, b, "seed {seed}: results diverged");
-            assert_eq!(da, db, "seed {seed}: per-iteration digests diverged");
-            assert_eq!(da.len(), a.iterations, "seed {seed}: one digest per sweep");
-        }
     }
 
     #[test]

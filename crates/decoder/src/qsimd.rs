@@ -2,26 +2,28 @@
 //!
 //! The paper's architecture decodes each check row with M = 360 parallel
 //! functional units working the 360 parity sub-chains in lockstep. The
-//! fused scalar path (`QuantizedZigzagDecoder::with_partition_fused`)
-//! reproduces that datapath check-by-check; this module reproduces its
-//! *parallelism*: the planes are transposed **sub-chain-major** so that the
-//! 360 FUs of one schedule row become 360 adjacent `i16` SIMD lanes, and
-//! one vector op advances every sub-chain by one message — exactly the
-//! hardware's row-lockstep, expressed as data parallelism.
+//! scalar sweep (`QuantizedZigzagDecoder::with_partition_scalar`)
+//! reproduces that datapath check by check, gathering each message through
+//! the partition's edge order; this module reproduces its *parallelism*:
+//! the planes are transposed **sub-chain-major** so that the 360 FUs of one
+//! schedule row become 360 adjacent `i16` SIMD lanes, and one vector op
+//! advances every sub-chain by one message — exactly the hardware's
+//! row-lockstep, expressed as data parallelism.
 //!
 //! # Layout
 //!
-//! The fused plan stores check `c` (lane `u = c / q_rows`, residue row
-//! `r = c % q_rows`) as a contiguous `stride`-long row at
-//! `((r * lanes + u) * stride)`. Here the same messages live at
+//! Check `c` (lane `u = c / q_rows`, residue row `r = c % q_rows`) has
+//! `stride = info_d + 2` message positions: its information inputs,
+//! already in hardware-schedule order (the edge order is baked into the
+//! layout once, at build time), then the left and right parity-chain
+//! inputs. Position `i` of check `c` lives at
 //!
 //! ```text
 //! slot(c, i) = (r * stride + i) * lanes + u
 //! ```
 //!
 //! so position `i` of residue row `r` is a dense `[i16; lanes]` vector
-//! across all sub-chains — a structure-of-arrays transpose of the fused
-//! layout with identical total size. The forward/backward chain state and
+//! across all sub-chains. The forward/backward chain state and
 //! the parity channel are transposed the same way (`fwd[r * lanes + u]`),
 //! which turns every chain coupling of the sweep into a contiguous vector
 //! copy:
@@ -39,8 +41,8 @@
 //!
 //! Check 0 (row 0, lane 0) has no left parity input; the vector kernel
 //! runs it with a zero placeholder and a scalar fix-up recomputes its row
-//! with [`QCheckArithmetic::extrinsic`] — the same function the fused path
-//! calls for that check — before write-back reads it.
+//! with [`QCheckArithmetic::extrinsic`] — the same function the scalar
+//! sweep calls for that check — before write-back reads it.
 //!
 //! # Bit-exactness
 //!
@@ -48,12 +50,13 @@
 //! same combine association order for the LUT rule, same first-strict-min
 //! / second-min recurrence for min-sum, integer adds reassociated only
 //! where addition is exactly commutative — so results are bit-identical to
-//! the fused path (and therefore to `GoldenModel`) by determinism, not by
+//! the scalar sweep (and therefore to `GoldenModel`) by determinism, not by
 //! tolerance. The LUT correction gather is replaced by a threshold
 //! decomposition ([`QBoxplus::corr_thresholds`]) that is *verified* against
 //! the table at construction; any arithmetic the lanes cannot express
-//! exactly (≥ 16-bit quantizers, non-decomposable tables, `q_rows < 2`)
-//! falls back to the scalar fused path.
+//! exactly (≥ 16-bit quantizers, non-decomposable tables) and any
+//! partition with nothing to run in lockstep (one sub-chain, `q_rows < 2`,
+//! non-uniform check degrees) stays on the scalar sweep.
 //!
 //! The scalar/AVX2/AVX-512 `#[target_feature]` clones follow the
 //! `tile.rs` dispatch pattern; the AVX-512 clone additionally enables
@@ -70,7 +73,7 @@ use dvbs2_ldpc::{BitVec, TannerGraph};
 /// Correction-step thresholds the gather-free LUT kernel carries. The
 /// table contributes `round(ln 2 / step)` thresholds; every configuration
 /// with a step coarse enough for real quantizers fits (the paper's 6-bit
-/// table needs 3). Larger tables fall back to the scalar fused path.
+/// table needs 3). Larger tables stay on the scalar sweep.
 const MAX_CORR_THRESHOLDS: usize = 4;
 
 /// Lane-parallel check-node arithmetic, specialized at construction.
@@ -88,7 +91,7 @@ enum LaneKernel {
 ///
 /// Built by [`SimdQuant::try_build`] when the partition/arithmetic pair is
 /// lane-expressible; owned by `QuantizedZigzagDecoder` alongside (not
-/// instead of) the scalar `FusedPlan`, which remains the fallback and the
+/// instead of) its scalar sweep, which remains the fallback and the
 /// differential reference.
 #[derive(Debug, Clone)]
 pub(crate) struct SimdQuant {
@@ -141,11 +144,12 @@ struct RotEntry {
 impl SimdQuant {
     /// Builds the lane plan for a graph/partition/arithmetic triple, or
     /// returns `None` when the combination is not exactly expressible in
-    /// saturating `i16` lanes (the caller keeps the scalar fused path).
+    /// saturating `i16` lanes or has fewer than two sub-chains to run in
+    /// lockstep (the caller keeps the scalar sweep).
     ///
     /// Assumes the partition has already been validated by
-    /// `QuantizedZigzagDecoder::with_partition` (divisibility, permutation,
-    /// uniform information degree).
+    /// `QuantizedZigzagDecoder::with_partition_scalar` (divisibility,
+    /// permutation).
     pub(crate) fn try_build(
         graph: &TannerGraph,
         partition: &ChainPartition,
@@ -156,10 +160,18 @@ impl SimdQuant {
         let k = graph.info_len();
         let lanes = partition.lanes();
         let q_rows = n_check / lanes;
-        // Row 0's shifted backward writes must land in a *different*
-        // residue row than the one being read, which needs at least two
-        // rows per sub-chain (every real rate point has >= 5).
-        if q_rows < 2 {
+        // One sub-chain has nothing to run in lockstep. Row 0's shifted
+        // backward writes must land in a *different* residue row than the
+        // one being read, which needs at least two rows per sub-chain
+        // (every real rate point has >= 5).
+        if lanes < 2 || q_rows < 2 {
+            return None;
+        }
+        // The fixed-stride rows need one information degree for every
+        // check, as the functional-unit array does (every DVB-S2 code has
+        // it).
+        let info_d = graph.check_edges(0).len() - 1;
+        if (1..n_check).any(|c| graph.check_edges(c).len() - 2 != info_d) {
             return None;
         }
         let max_mag_wide = arithmetic.quantizer().max_mag();
@@ -185,12 +197,10 @@ impl SimdQuant {
             }
             QCheckArithmetic::MinSumShift { shift, .. } => LaneKernel::MinSum { shift: *shift },
         };
-        let info_d = graph.check_edges(0).len() - 1;
         let stride = info_d + 2;
 
         // Bake the schedule permutation into the lane-major slot map, then
-        // flatten it variable-major for the VN side — the same two steps as
-        // `FusedPlan::build`, differing only in the slot formula.
+        // flatten it variable-major for the VN side.
         let order = partition.edge_order();
         let mut edge_slot = vec![u32::MAX; graph.edge_count()];
         for c in 0..n_check {
@@ -246,12 +256,12 @@ impl SimdQuant {
         self.tier
     }
 
-    /// Lane-parallel decode, mirroring `decode_fused_into` step for step
-    /// (same early-stop placement, same iteration accounting, same digest
-    /// points). Returns `false` — with the decoder state untouched — when
-    /// the channel's parity values exceed the quantizer rail, in which case
-    /// the caller must run the scalar fused path (whose wide sat-adds
-    /// handle out-of-range inputs).
+    /// Lane-parallel decode with the scalar sweep's results (same iteration
+    /// accounting, same early-stop decisions, same digest points). Returns
+    /// `false` — with the decoder state untouched — when the channel's
+    /// parity values exceed the quantizer rail, in which case the caller
+    /// must run the scalar sweep (whose wide sat-adds handle out-of-range
+    /// inputs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_into(
         &mut self,
@@ -287,8 +297,11 @@ impl SimdQuant {
         let mut converged = false;
 
         for it in 0..max_iterations {
-            // Fused totals + variable-node pass (identical values to the
-            // scalar fused pass: integer addition is order-independent).
+            // Combined totals + variable-node pass: one walk computes
+            // iteration `it - 1`'s totals and iteration `it`'s v2c messages
+            // (identical values to the scalar sweep's two passes: integer
+            // addition is order-independent). On entry the c2v planes are
+            // zero, so this degenerates to `totals = channel`.
             self.vn_pass(graph, channel, k, totals);
             if early_stop && it > 0 {
                 self.parity_totals(channel, k, totals);
@@ -386,8 +399,8 @@ impl SimdQuant {
         }
     }
 
-    /// Canonical message digest — value-for-value the stream of
-    /// `fused_digest` / `unfused_digest`: per check (check order) the
+    /// Canonical message digest — value-for-value the stream of the scalar
+    /// sweep's `digest`: per check (check order) the
     /// information c2v messages in hardware input order, then the forward,
     /// then the backward chain messages.
     fn digest(&self) -> u64 {
@@ -625,8 +638,8 @@ fn vn_pass_rot(
     }
 }
 
-/// Variable-major VN pass for non-rotation (synthetic) slot maps — the
-/// fused pass's walk over `var_slots`, in the i16 lane domain.
+/// Variable-major VN pass for non-rotation (synthetic) slot maps: a walk
+/// over `var_slots` in the i16 lane domain.
 fn vn_pass_generic(
     graph: &TannerGraph,
     var_slots: &[u32],
@@ -742,7 +755,7 @@ fn check_sweep(
         if r == 0 {
             // Check 0: degree `info_d + 1` with the right parity input
             // last — recompute through the scalar arithmetic (the same
-            // call the fused path makes for its short row) and store the
+            // call the scalar sweep makes for it) and store the
             // forward output at the left slot so write-back below reads
             // it uniformly. The kernel's garbage at (info_d + 1, lane 0)
             // is never read.

@@ -4,8 +4,10 @@
 //! `new()`; after a warm-up decode, each subsequent `decode()` must perform
 //! exactly ONE heap allocation — the `BitVec` handed back in the result —
 //! and match it with one deallocation. A counting global allocator enforces
-//! this; the test lives in its own integration-test binary so no other
-//! test's allocations can leak into the counters.
+//! this. It counts per thread, so tests running in parallel (and the test
+//! harness's own thread) cannot leak allocations into each other's
+//! measured windows; the test lives in its own integration-test binary so
+//! no other test shares its allocator.
 
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
@@ -13,27 +15,45 @@ use dvbs2_decoder::{
     QuantizedZigzagDecoder, Quantizer, ZigzagDecoder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static DEALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const` initialization: reading these never allocates, so the
+    // allocator can use them without recursing.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static DEALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+    counter.with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Deallocations made so far by the calling thread.
+fn deallocations() -> usize {
+    DEALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&ALLOCATIONS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&DEALLOCATIONS);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        bump(&ALLOCATIONS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,11 +67,11 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn assert_single_allocation_per_decode(name: &str, decoder: &mut dyn Decoder, llrs: &[f64]) {
     let mut results = vec![decoder.decode(llrs)]; // warm-up
     for round in 0..3 {
-        let before_alloc = ALLOCATIONS.load(Ordering::SeqCst);
-        let before_dealloc = DEALLOCATIONS.load(Ordering::SeqCst);
+        let before_alloc = allocations();
+        let before_dealloc = deallocations();
         let result = decoder.decode(llrs);
-        let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before_alloc;
-        let deallocated = DEALLOCATIONS.load(Ordering::SeqCst) - before_dealloc;
+        let allocated = allocations() - before_alloc;
+        let deallocated = deallocations() - before_dealloc;
         assert_eq!(
             allocated, 1,
             "{name} round {round}: expected the result BitVec to be the only \
@@ -74,11 +94,11 @@ fn assert_zero_allocation_decode_into(name: &str, decoder: &mut dyn Decoder, llr
     decoder.decode_into(llrs, &mut out); // warm-up: sizes out.bits
     let reference = out.clone();
     for round in 0..3 {
-        let before_alloc = ALLOCATIONS.load(Ordering::SeqCst);
-        let before_dealloc = DEALLOCATIONS.load(Ordering::SeqCst);
+        let before_alloc = allocations();
+        let before_dealloc = deallocations();
         decoder.decode_into(llrs, &mut out);
-        let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before_alloc;
-        let deallocated = DEALLOCATIONS.load(Ordering::SeqCst) - before_dealloc;
+        let allocated = allocations() - before_alloc;
+        let deallocated = deallocations() - before_dealloc;
         assert_eq!(allocated, 0, "{name} round {round}: decode_into allocated {allocated}");
         assert_eq!(deallocated, 0, "{name} round {round}: decode_into freed {deallocated}");
     }
@@ -104,8 +124,9 @@ fn decode_into_is_allocation_free_after_warm_up() {
         let mut layered = LayeredDecoder::new(Arc::clone(&graph), config);
         assert_zero_allocation_decode_into(&format!("layered {label}"), &mut layered, &llrs);
     }
-    // The quantized decoder reuses both its channel buffer and its
-    // hard-decision scratch through the same entry point.
+    // The quantized decoder (the one-lane partition's scalar sweep) reuses
+    // both its channel buffer and its hard-decision scratch through the
+    // same entry point.
     let mut quantized = QuantizedZigzagDecoder::new(
         Arc::clone(&graph),
         Quantizer::paper_6bit(),

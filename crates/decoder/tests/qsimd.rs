@@ -3,7 +3,7 @@
 //! count (including ragged vector tails), both quantized arithmetics and
 //! non-trivial edge orders, the lane-parallel decoder is **bit-exact** —
 //! full `DecodeResult` plus per-iteration message digests — against the
-//! scalar fused reference sweep.
+//! scalar reference sweep.
 //!
 //! Tiers are forced through the per-decoder `DecoderConfig::with_simd_tier`
 //! hook (race-free under the parallel test runner; the process-global
@@ -35,14 +35,14 @@ fn arithmetics() -> Vec<(&'static str, QCheckArithmetic)> {
 /// per-iteration digest equality.
 fn assert_bit_exact(
     simd: &mut QuantizedZigzagDecoder,
-    fused: &mut QuantizedZigzagDecoder,
+    scalar: &mut QuantizedZigzagDecoder,
     channels: &[Vec<i32>],
     what: &str,
 ) {
     let (mut da, mut db) = (Vec::new(), Vec::new());
     for (i, channel) in channels.iter().enumerate() {
         let a = simd.decode_quantized_traced(channel, &mut da);
-        let b = fused.decode_quantized_traced(channel, &mut db);
+        let b = scalar.decode_quantized_traced(channel, &mut db);
         assert_eq!(a, b, "{what}: frame {i} results diverged");
         assert_eq!(da, db, "{what}: frame {i} per-iteration digests diverged");
         assert_eq!(da.len(), a.iterations, "{what}: frame {i} one digest per sweep");
@@ -60,9 +60,9 @@ fn noisy_channels(dec: &QuantizedZigzagDecoder, n: usize, base_seed: u64) -> Vec
 }
 
 /// The core contract: every available tier × every lane count × every
-/// arithmetic is bit-exact against the scalar fused sweep, digests and all.
+/// arithmetic is bit-exact against the scalar sweep, digests and all.
 #[test]
-fn simd_matches_fused_across_tiers_lane_counts_and_arithmetics() {
+fn simd_matches_scalar_across_tiers_lane_counts_and_arithmetics() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
     for tier in SimdTier::available() {
@@ -80,7 +80,7 @@ fn simd_matches_fused_across_tiers_lane_counts_and_arithmetics() {
                     Some(tier),
                     "{name} lanes {lanes}: SIMD plan should build and record its tier"
                 );
-                let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+                let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
                     Arc::clone(&graph),
                     arith.clone(),
                     config,
@@ -89,7 +89,7 @@ fn simd_matches_fused_across_tiers_lane_counts_and_arithmetics() {
                 let channels = noisy_channels(&simd, 2, 9100 + lanes as u64);
                 assert_bit_exact(
                     &mut simd,
-                    &mut fused,
+                    &mut scalar,
                     &channels,
                     &format!("{name} tier {tier:?} lanes {lanes}"),
                 );
@@ -116,14 +116,14 @@ fn edge_order_fidelity_is_preserved() {
             config,
             ChainPartition::new(360, Some(order.clone())),
         );
-        let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+        let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
             Arc::clone(&graph),
             QCheckArithmetic::lut(Quantizer::paper_6bit()),
             config,
             ChainPartition::new(360, Some(order.clone())),
         );
         let channels = noisy_channels(&simd, 2, 9400);
-        assert_bit_exact(&mut simd, &mut fused, &channels, &format!("reversed order {tier:?}"));
+        assert_bit_exact(&mut simd, &mut scalar, &channels, &format!("reversed order {tier:?}"));
     }
 }
 
@@ -146,7 +146,7 @@ fn rail_saturated_channels_stay_bit_exact() {
             config,
             ChainPartition::new(360, None),
         );
-        let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+        let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
             Arc::clone(&graph),
             arith,
             config,
@@ -170,19 +170,19 @@ fn rail_saturated_channels_stay_bit_exact() {
                 })
                 .collect(),
         );
-        assert_bit_exact(&mut simd, &mut fused, &channels, &format!("{name} rails"));
+        assert_bit_exact(&mut simd, &mut scalar, &channels, &format!("{name} rails"));
     }
 }
 
 /// A raw quantized channel outside the i16 rail gate falls back to the
-/// scalar fused sweep for that frame — same results, no panic.
+/// scalar sweep for that frame — same results, no panic.
 #[test]
-fn out_of_rail_channel_falls_back_to_fused() {
+fn out_of_rail_channel_falls_back_to_scalar() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    let mk = |fused: bool| {
-        let build = if fused {
-            QuantizedZigzagDecoder::with_partition_fused
+    let mk = |scalar: bool| {
+        let build = if scalar {
+            QuantizedZigzagDecoder::with_partition_scalar
         } else {
             QuantizedZigzagDecoder::with_partition
         };
@@ -194,7 +194,7 @@ fn out_of_rail_channel_falls_back_to_fused() {
         )
     };
     let mut simd = mk(false);
-    let mut fused = mk(true);
+    let mut scalar = mk(true);
     assert!(simd.simd_tier().is_some());
     // A parity value beyond max_mag = 31: legal for the scalar i32 planes,
     // outside the SIMD plan's saturation headroom guarantee.
@@ -202,33 +202,35 @@ fn out_of_rail_channel_falls_back_to_fused() {
     channel[graph.info_len() + 3] = 1000;
     let (mut da, mut db) = (Vec::new(), Vec::new());
     let a = simd.decode_quantized_traced(&channel, &mut da);
-    let b = fused.decode_quantized_traced(&channel, &mut db);
+    let b = scalar.decode_quantized_traced(&channel, &mut db);
     assert_eq!(a, b, "fallback frame results diverged");
     assert_eq!(da, db, "fallback frame digests diverged");
 }
 
-/// A partition the SIMD plan cannot serve (single-row sub-chains) reports
-/// no tier and still decodes bit-exactly through the fused fallback.
+/// A partition the SIMD plan cannot serve — one sub-chain with nothing to
+/// run in lockstep, or single-row sub-chains — reports no tier and still
+/// decodes bit-exactly through the scalar sweep.
 #[test]
 fn ineligible_partition_reports_no_simd_plan() {
     let (_, graph) = small_code();
     let graph = Arc::new(graph);
-    let lanes = graph.check_count(); // q_rows = 1
-    let mut simd = QuantizedZigzagDecoder::with_partition(
-        Arc::clone(&graph),
-        QCheckArithmetic::lut(Quantizer::paper_6bit()),
-        DecoderConfig::default(),
-        ChainPartition::new(lanes, None),
-    );
-    assert_eq!(simd.simd_tier(), None);
-    let mut fused = QuantizedZigzagDecoder::with_partition_fused(
-        Arc::clone(&graph),
-        QCheckArithmetic::lut(Quantizer::paper_6bit()),
-        DecoderConfig::default(),
-        ChainPartition::new(lanes, None),
-    );
-    let channels = noisy_channels(&simd, 1, 9700);
-    assert_bit_exact(&mut simd, &mut fused, &channels, "q_rows = 1");
+    for lanes in [1, graph.check_count()] {
+        let mut simd = QuantizedZigzagDecoder::with_partition(
+            Arc::clone(&graph),
+            QCheckArithmetic::lut(Quantizer::paper_6bit()),
+            DecoderConfig::default(),
+            ChainPartition::new(lanes, None),
+        );
+        assert_eq!(simd.simd_tier(), None, "lanes {lanes}");
+        let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
+            Arc::clone(&graph),
+            QCheckArithmetic::lut(Quantizer::paper_6bit()),
+            DecoderConfig::default(),
+            ChainPartition::new(lanes, None),
+        );
+        let channels = noisy_channels(&simd, 1, 9700);
+        assert_bit_exact(&mut simd, &mut scalar, &channels, &format!("lanes {lanes}"));
+    }
 }
 
 /// Forcing an unavailable tier panics at construction instead of silently

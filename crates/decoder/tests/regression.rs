@@ -15,9 +15,10 @@
 use dvbs2_decoder::test_support::{noisy_llrs, small_code};
 use dvbs2_decoder::{
     hard_decisions, syndrome_ok, CheckRule, DecodeResult, Decoder, DecoderConfig, FloodingDecoder,
-    LayeredDecoder, TileSchedule, TiledBatchDecoder, ZigzagDecoder,
+    LayeredDecoder, QCheckArithmetic, QuantizedZigzagDecoder, Quantizer, TileSchedule,
+    TiledBatchDecoder, ZigzagDecoder,
 };
-use dvbs2_ldpc::TannerGraph;
+use dvbs2_ldpc::{BitVec, CodeRate, DvbS2Code, FrameSize, TannerGraph};
 use std::sync::Arc;
 
 /// The seed repository's flooding decoder, embedded as a reference.
@@ -381,4 +382,108 @@ fn tiled_engines_match_seed_without_early_stop() {
         .with_max_iterations(12)
         .with_early_stop(false);
     assert_tiled_matches_seed(config);
+}
+
+/// FNV-1a over the decoded word, one byte per bit.
+fn fnv_bits(bits: &BitVec) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bits.iter() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Frames on the Short R8/9 code, the served quantized slot: clean
+/// convergence at and above the waterfall, slow convergence inside it, and
+/// a frame below it that hits the iteration cap.
+fn r89_frame_seeds() -> Vec<(f64, u64)> {
+    let mut frames = Vec::new();
+    for seed in 0..3 {
+        frames.push((4.2, 9300 + seed));
+        frames.push((3.6, 9400 + seed));
+    }
+    frames.push((2.6, 9500));
+    frames
+}
+
+/// `(FNV of the decoded word, iterations, converged)` per frame for the
+/// two default-built quantized decoders (6-bit LUT, and min-sum with a
+/// shift of 2) over one code and frame set.
+fn quantized_signatures(
+    code: &DvbS2Code,
+    frames: &[(f64, u64)],
+) -> Vec<(&'static str, u64, usize, bool)> {
+    let graph = Arc::new(code.tanner_graph());
+    let q = Quantizer::paper_6bit();
+    let mut lut = QuantizedZigzagDecoder::new(Arc::clone(&graph), q, DecoderConfig::default());
+    let mut min_sum = QuantizedZigzagDecoder::with_arithmetic(
+        Arc::clone(&graph),
+        QCheckArithmetic::min_sum_shift(q, 2),
+        DecoderConfig::default(),
+    );
+    let mut out = Vec::new();
+    for &(ebn0_db, seed) in frames {
+        let (_, llrs) = noisy_llrs(code, ebn0_db, seed);
+        for (name, dec) in [("lut", &mut lut), ("min-sum", &mut min_sum)] {
+            let r = dec.decode(&llrs);
+            out.push((name, fnv_bits(&r.bits), r.iterations, r.converged));
+        }
+    }
+    out
+}
+
+/// Recorded from the dedicated sequential zigzag sweep of the quantized
+/// decoder, before that sweep became the one-lane partition: `new` and
+/// `with_arithmetic` must keep returning exactly these words, iteration
+/// counts and convergence flags.
+const SMALL_CODE_SIGNATURES: [(&str, u64, usize, bool); 18] = [
+    ("lut", 0xa952f8971c8d06e5, 8, true),
+    ("min-sum", 0xa952f8971c8d06e5, 10, true),
+    ("lut", 0xa5e1b59e4913864d, 24, true),
+    ("min-sum", 0x2760f0b90fb941b9, 30, false),
+    ("lut", 0xbf4c802f7651e723, 9, true),
+    ("min-sum", 0xbf4c802f7651e723, 12, true),
+    ("lut", 0xe51c9f3efd3a3c05, 30, false),
+    ("min-sum", 0x063e8159fd64fa9a, 30, false),
+    ("lut", 0x30d7b20116fa2a00, 11, true),
+    ("min-sum", 0x30d7b20116fa2a00, 16, true),
+    ("lut", 0x1858f3b36f315912, 21, true),
+    ("min-sum", 0xb178f321aa1607c6, 30, false),
+    ("lut", 0x09150b7e98a214f9, 10, true),
+    ("min-sum", 0x09150b7e98a214f9, 11, true),
+    ("lut", 0x5839a1632cb493b4, 30, false),
+    ("min-sum", 0x0bc88ec9c5890f3d, 30, false),
+    ("lut", 0xebc54c4d15046be7, 30, false),
+    ("min-sum", 0x9b6e8966f69f77a9, 30, false),
+];
+
+/// As [`SMALL_CODE_SIGNATURES`], on the Short R8/9 frames.
+const SHORT_R89_SIGNATURES: [(&str, u64, usize, bool); 14] = [
+    ("lut", 0x1db8b2a7cbff3971, 6, true),
+    ("min-sum", 0x1db8b2a7cbff3971, 7, true),
+    ("lut", 0x30b552518c3a180e, 16, true),
+    ("min-sum", 0x30b552518c3a180e, 19, true),
+    ("lut", 0xc28a52d188e727bb, 6, true),
+    ("min-sum", 0xc28a52d188e727bb, 6, true),
+    ("lut", 0x8b48aa228e1822e0, 13, true),
+    ("min-sum", 0x8b48aa228e1822e0, 14, true),
+    ("lut", 0x49c326e5980094bf, 7, true),
+    ("min-sum", 0x49c326e5980094bf, 8, true),
+    ("lut", 0x8c20b4e41c41fbdc, 12, true),
+    ("min-sum", 0x8c20b4e41c41fbdc, 13, true),
+    ("lut", 0x637c26464dc84d59, 30, false),
+    ("min-sum", 0x14484da8dbac94eb, 30, false),
+];
+
+#[test]
+fn served_quantized_decoders_match_recorded_signatures_small_code() {
+    let (code, _) = small_code();
+    assert_eq!(quantized_signatures(&code, &frame_seeds()), SMALL_CODE_SIGNATURES);
+}
+
+#[test]
+fn served_quantized_decoders_match_recorded_signatures_short_r89() {
+    let code = DvbS2Code::new(CodeRate::R8_9, FrameSize::Short).unwrap();
+    assert_eq!(quantized_signatures(&code, &r89_frame_seeds()), SHORT_R89_SIGNATURES);
 }

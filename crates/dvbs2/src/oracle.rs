@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | timed/untimed | [`HardwareDecoder`] ↔ [`GoldenModel`] | full [`DecodeResult`] equality plus per-iteration message-digest equality, bit for bit, converged or not, **with or without an injected [`RamFault`]** (both models carry the same fault) |
 //! | boundary-exact | golden ↔ [`QuantizedZigzagDecoder`] in hardware-partitioned mode ([`hw_chain_partition`]) | full [`DecodeResult`] equality — the partition replays the 360 sub-chains and the schedule's per-check input order |
-//! | fixed-point | golden ↔ sequential [`QuantizedZigzagDecoder`] (LUT) | agreement on *decoded words* only — the parallel golden model deliberately deviates from the sequential zigzag at the 360 chain boundaries |
+//! | fixed-point | golden ↔ one-lane [`QuantizedZigzagDecoder`] (LUT, the sequential zigzag) | agreement on *decoded words* only — the parallel golden model deliberately deviates from the one-lane chain at the 360 chain boundaries |
 //! | float schedules | flooding / zigzag / layered (f64) | all converged members produce the same codeword |
 //! | precision | engine f32 ↔ f64 (same schedule/rule) | both-converged ⇒ same codeword |
 //! | bit flipping | [`BitFlippingDecoder`] alone | iteration cap; converged ⇒ clean syndrome and syndrome weight not above the channel hard decisions' — *never* word agreement (see `run_case`) |
@@ -1501,8 +1501,8 @@ fn run_fault_case(case_index: u64, case: &CaseSpec, cache: &ContextCache) -> Vec
     // golden model is not its reference — but the fault sweep's config space
     // (arithmetic × quantizer × iteration caps × channel realizations) is
     // exactly where the SIMD lane kernels must stay transparent. Pin the
-    // lane path against the scalar fused sweep at every available dispatch
-    // tier, results and per-iteration digests.
+    // lane path against the scalar sweep at every available dispatch tier,
+    // results and per-iteration digests.
     let sw_config = DecoderConfig {
         max_iterations: case.max_iterations,
         early_stop: case.early_stop,
@@ -1510,14 +1510,14 @@ fn run_fault_case(case_index: u64, case: &CaseSpec, cache: &ContextCache) -> Vec
         precision: Precision::F64,
         simd: None,
     };
-    let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+    let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
         Arc::clone(ctx.graph()),
         case.arithmetic.build(quantizer),
         sw_config,
         ctx.partition.clone(),
     );
-    let mut fused_trace = Vec::new();
-    let fused_out = fused.decode_quantized_traced(&channel, &mut fused_trace);
+    let mut scalar_trace = Vec::new();
+    let scalar_out = scalar.decode_quantized_traced(&channel, &mut scalar_trace);
     for tier in SimdTier::available() {
         let mut lane = QuantizedZigzagDecoder::with_partition(
             Arc::clone(ctx.graph()),
@@ -1527,25 +1527,25 @@ fn run_fault_case(case_index: u64, case: &CaseSpec, cache: &ContextCache) -> Vec
         );
         let mut lane_trace = Vec::new();
         let lane_out = lane.decode_quantized_traced(&channel, &mut lane_trace);
-        if lane_out != fused_out || lane_trace != fused_trace {
+        if lane_out != scalar_out || lane_trace != scalar_trace {
             let mut vcase = *case;
             vcase.simd = Some(tier);
             violations.push(Violation {
                 case_index,
                 case: vcase,
-                contract: "simd-fused-bitexact",
+                contract: "simd-scalar-bitexact",
                 detail: format!(
-                    "{} lane path (converged={} iters={}) != scalar fused \
+                    "{} lane path (converged={} iters={}) != scalar sweep \
                      (converged={} iters={}), {} differing bits, digests diverged at \
                      iteration {} of {}",
                     tier.name(),
                     lane_out.converged,
                     lane_out.iterations,
-                    fused_out.converged,
-                    fused_out.iterations,
-                    count_diff(&lane_out.bits, &fused_out.bits),
-                    lane_trace.iter().zip(&fused_trace).position(|(a, b)| a != b).unwrap_or(0) + 1,
-                    lane_trace.len().max(fused_trace.len()),
+                    scalar_out.converged,
+                    scalar_out.iterations,
+                    count_diff(&lane_out.bits, &scalar_out.bits),
+                    lane_trace.iter().zip(&scalar_trace).position(|(a, b)| a != b).unwrap_or(0) + 1,
+                    lane_trace.len().max(scalar_trace.len()),
                 ),
             });
         }
@@ -1728,12 +1728,12 @@ pub fn run_fabric_sweep(config: &OracleConfig) -> OracleReport {
 /// Verifies the boundary-exact equivalence class across **every defined
 /// rate/frame code point** — all 11 Normal-frame rates plus the 10
 /// Short-frame rates (R 9/10 is Normal-only in the standard): the LUT
-/// [`QuantizedZigzagDecoder`] in hardware-partitioned mode must reproduce
+/// [`QuantizedZigzagDecoder`] over the hardware's 360-lane partition must reproduce
 /// the [`GoldenModel`]'s full [`DecodeResult`] — decoded word, iteration
 /// count and convergence flag — at two operating points per code point
 /// (early-stopping above the waterfall, fixed-iteration below it). Each
 /// point additionally runs the SIMD lane path at **every available dispatch
-/// tier**, which must match the golden result and the scalar fused sweep's
+/// tier**, which must match the golden result and the scalar sweep's
 /// per-iteration message digests; violations record the tier in the repro
 /// string.
 pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
@@ -1793,11 +1793,11 @@ pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
                     precision: Precision::F64,
                     simd: None,
                 };
-                // Scalar fused sweep: the boundary-exact reference for both
-                // the golden comparison and the per-tier digest comparison
+                // Scalar sweep: the boundary-exact reference for both the
+                // golden comparison and the per-tier digest comparison
                 // (golden traces hash hardware RAM state, a different format,
-                // so lane digests are pinned against the fused sweep's).
-                let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+                // so lane digests are pinned against the scalar sweep's).
+                let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
                     Arc::clone(ctx.graph()),
                     QCheckArithmetic::lut(quantizer),
                     sw_config,
@@ -1805,26 +1805,26 @@ pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
                 );
                 let channel = golden.quantize_channel(&frame.llrs);
                 let golden_out = golden.decode_quantized(&channel);
-                let mut fused_trace = Vec::new();
-                let fused_out = fused.decode_quantized_traced(&channel, &mut fused_trace);
-                if fused_out != golden_out {
+                let mut scalar_trace = Vec::new();
+                let scalar_out = scalar.decode_quantized_traced(&channel, &mut scalar_trace);
+                if scalar_out != golden_out {
                     let v = Violation {
                         case_index: index,
                         case,
                         contract: "golden-partitioned-bitexact",
                         detail: format!(
                             "partitioned qzigzag (converged={} iters={}) != golden (converged={} iters={}), {} differing bits",
-                            fused_out.converged,
-                            fused_out.iterations,
+                            scalar_out.converged,
+                            scalar_out.iterations,
                             golden_out.converged,
                             golden_out.iterations,
-                            count_diff(&fused_out.bits, &golden_out.bits),
+                            count_diff(&scalar_out.bits, &golden_out.bits),
                         ),
                     };
                     violations.lock().expect("no panics hold the lock").push(v);
                 }
                 // Every available SIMD dispatch tier must reproduce the
-                // golden DecodeResult *and* the fused sweep's per-iteration
+                // golden DecodeResult *and* the scalar sweep's per-iteration
                 // message digests; a divergence records the tier in the
                 // repro string.
                 for tier in SimdTier::available() {
@@ -1836,7 +1836,9 @@ pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
                     );
                     let mut lane_trace = Vec::new();
                     let lane_out = lane.decode_quantized_traced(&channel, &mut lane_trace);
-                    if lane_out == golden_out && lane_out == fused_out && lane_trace == fused_trace
+                    if lane_out == golden_out
+                        && lane_out == scalar_out
+                        && lane_trace == scalar_trace
                     {
                         continue;
                     }
@@ -1845,7 +1847,7 @@ pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
                         case: CaseSpec { simd: Some(tier), ..case },
                         contract: "simd-partitioned-bitexact",
                         detail: format!(
-                            "{} lane path (converged={} iters={}) != golden (converged={} iters={}) / fused, {} differing bits vs golden, digests diverged at iteration {} of {}",
+                            "{} lane path (converged={} iters={}) != golden (converged={} iters={}) / scalar, {} differing bits vs golden, digests diverged at iteration {} of {}",
                             tier.name(),
                             lane_out.converged,
                             lane_out.iterations,
@@ -1854,11 +1856,11 @@ pub fn run_partition_sweep(master_seed: u64, threads: usize) -> OracleReport {
                             count_diff(&lane_out.bits, &golden_out.bits),
                             lane_trace
                                 .iter()
-                                .zip(&fused_trace)
+                                .zip(&scalar_trace)
                                 .position(|(a, b)| a != b)
                                 .unwrap_or(0)
                                 + 1,
-                            lane_trace.len().max(fused_trace.len()),
+                            lane_trace.len().max(scalar_trace.len()),
                         ),
                     };
                     violations.lock().expect("no panics hold the lock").push(v);

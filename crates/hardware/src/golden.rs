@@ -28,10 +28,11 @@ use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 
 /// The untimed functional model (see module docs).
 ///
-/// # Chain-boundary semantics vs the sequential `QuantizedZigzagDecoder`
+/// # Chain-boundary semantics vs the one-lane `QuantizedZigzagDecoder`
 ///
-/// `dvbs2_decoder::QuantizedZigzagDecoder` sweeps the degree-2 parity chain
-/// as **one** sequence over all `N − K` checks: every check `c > 0` consumes
+/// `dvbs2_decoder::QuantizedZigzagDecoder::new` sweeps the degree-2 parity
+/// chain as **one** sub-chain over all `N − K` checks (a one-lane
+/// `ChainPartition`): every check `c > 0` consumes
 /// check `c − 1`'s forward output from the *same* iteration, and all
 /// backward messages come from the *previous* iteration. This model executes
 /// the hardware's partitioning instead: the chain is cut into
@@ -57,11 +58,11 @@ use dvbs2_ldpc::{CodeParams, DvbS2Code, PARALLELISM};
 /// fraction of the chain (≈ 1% at Normal frames), which shifts rare
 /// per-frame iteration counts near threshold but not decoded words — the
 /// differential oracle enforces decoded-word agreement between this model
-/// and the *sequential* `QuantizedZigzagDecoder`, and *bit-exactness* both
+/// and the *one-lane* `QuantizedZigzagDecoder`, and *bit-exactness* both
 /// against the timed [`crate::HardwareDecoder`] (decisions and
 /// per-iteration message digests, with or without an injected
-/// [`RamFault`]) and against the software decoder in hardware-partitioned
-/// mode ([`crate::hw_chain_partition`] replays this model's sub-chain
+/// [`RamFault`]) and against the software decoder over a 360-lane
+/// partition ([`crate::hw_chain_partition`] replays this model's sub-chain
 /// boundaries and per-check input ordering exactly). `DESIGN.md`
 /// ("Chain-boundary semantics") carries the worked example.
 #[derive(Debug, Clone)]

@@ -16,8 +16,8 @@ use crate::schedule::CnSchedule;
 use dvbs2_decoder::ChainPartition;
 use dvbs2_ldpc::{TannerGraph, PARALLELISM};
 
-/// Builds the [`ChainPartition`] that makes the sequential software decoder
-/// replay the hardware exactly: 360 sub-chains plus, for every check, the
+/// Builds the [`ChainPartition`] that makes the software decoder replay the
+/// hardware exactly: 360 sub-chains plus, for every check, the
 /// schedule's message input order expressed as a permutation of the graph's
 /// information edges.
 ///
@@ -139,57 +139,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_matches_lut_indirection_sweep_with_digests() {
-        // The construction-time fused layout must replay the PR-4
-        // LUT-indirection sweep exactly — full DecodeResult and the
-        // per-iteration FNV message digests — under both the natural and an
-        // annealed schedule (the latter permutes word order within rows,
-        // which is exactly what the baked permutation must absorb).
-        let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
-        let rom = ConnectivityRom::build(code.params(), code.table());
-        let annealed = optimize_schedule(
-            &rom,
-            MemoryConfig::default(),
-            AnnealOptions { moves: 300, ..AnnealOptions::default() },
-        )
-        .schedule;
-        let graph = Arc::new(code.tanner_graph());
-        for (tag, schedule) in [("natural", CnSchedule::natural(&rom)), ("annealed", annealed)] {
-            let partition = hw_chain_partition(&rom, &schedule, &graph);
-            let config = DecoderConfig::default();
-            let arith = QCheckArithmetic::lut(Quantizer::paper_6bit());
-            let mut fused = QuantizedZigzagDecoder::with_partition(
-                Arc::clone(&graph),
-                arith.clone(),
-                config,
-                partition.clone(),
-            );
-            let mut indirect = QuantizedZigzagDecoder::with_partition_indirect(
-                Arc::clone(&graph),
-                arith,
-                config,
-                partition,
-            );
-            let (mut df, mut di) = (Vec::new(), Vec::new());
-            for seed in 0..3u64 {
-                let (_, llrs) = noisy_llrs(&code, 2.4, 8200 + seed);
-                let channel = fused.quantize_channel(&llrs);
-                let f = fused.decode_quantized_traced(&channel, &mut df);
-                let i = indirect.decode_quantized_traced(&channel, &mut di);
-                assert_eq!(f, i, "{tag} seed {seed}: results diverged");
-                assert_eq!(df, di, "{tag} seed {seed}: digests diverged");
-                assert_eq!(df.len(), f.iterations, "{tag} seed {seed}: one digest per sweep");
-            }
-        }
-    }
-
-    #[test]
     fn simd_lane_planes_are_bit_exact_at_every_tier() {
         // The sub-chain-major SIMD planes must replay the functional-unit
         // array exactly at every dispatch tier this host can run: the full
         // golden DecodeResult, plus per-iteration FNV message digests
-        // against the scalar fused sweep — under both the natural and an
-        // annealed schedule.
+        // against the scalar sweep — under both the natural and an annealed
+        // schedule (the latter permutes word order within rows, which is
+        // exactly what the baked permutation must absorb).
         let code = DvbS2Code::new(CodeRate::R1_2, FrameSize::Short).unwrap();
         let rom = ConnectivityRom::build(code.params(), code.table());
         let annealed = optimize_schedule(
@@ -205,7 +161,7 @@ mod tests {
             let mut golden =
                 GoldenModel::new(&code, schedule.clone(), Quantizer::paper_6bit(), 10, true);
             let config = DecoderConfig::default().with_max_iterations(10);
-            let mut fused = QuantizedZigzagDecoder::with_partition_fused(
+            let mut scalar = QuantizedZigzagDecoder::with_partition_scalar(
                 Arc::clone(&graph),
                 arith.clone(),
                 config,
@@ -219,16 +175,17 @@ mod tests {
                     partition.clone(),
                 );
                 assert_eq!(lanes.simd_tier(), Some(tier), "{tag}: plan must build");
-                let (mut dl, mut df) = (Vec::new(), Vec::new());
+                let (mut dl, mut ds) = (Vec::new(), Vec::new());
                 for seed in 0..2u64 {
                     let (_, llrs) = noisy_llrs(&code, 2.4, 8600 + seed);
                     let channel = lanes.quantize_channel(&llrs);
                     let g = golden.decode_quantized(&channel);
                     let l = lanes.decode_quantized_traced(&channel, &mut dl);
-                    let f = fused.decode_quantized_traced(&channel, &mut df);
+                    let s = scalar.decode_quantized_traced(&channel, &mut ds);
                     assert_eq!(l, g, "{tag} {tier:?} seed {seed}: diverged from golden");
-                    assert_eq!(l, f, "{tag} {tier:?} seed {seed}: diverged from fused");
-                    assert_eq!(dl, df, "{tag} {tier:?} seed {seed}: digests diverged");
+                    assert_eq!(l, s, "{tag} {tier:?} seed {seed}: diverged from scalar");
+                    assert_eq!(dl, ds, "{tag} {tier:?} seed {seed}: digests diverged");
+                    assert_eq!(dl.len(), l.iterations, "{tag} seed {seed}: one digest per sweep");
                 }
             }
         }
